@@ -6,7 +6,7 @@ DATE := $(shell date +%Y%m%d)
 # stack of PRs landing together) never clobbers an earlier measurement.
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all build vet lint test race bench bench-smoke bench-compare cover fuzz-smoke serve-smoke profile clean
+.PHONY: all build vet lint test race bench bench-smoke bench-compare cover fuzz-smoke serve-smoke perfbench-test profile clean
 
 all: build vet lint test
 
@@ -99,12 +99,14 @@ FUZZTIME = 10s
 
 # fuzz-smoke runs every fuzz target briefly (one -fuzz regex per package
 # invocation, as the toolchain requires): the scenario configuration
-# surface, the CLI epoch syntax, the fault-plan syntax, the strategy
-# registry, the onion codec, and the anonlint suppression parser.
+# surface, the CLI epoch syntax, the interval membership schedule against
+# its reference model, the fault-plan syntax, the strategy registry, the
+# onion codec, and the anonlint suppression parser.
 fuzz-smoke:
 	$(GO) test ./internal/analysis/allow -run '^$$' -fuzz '^FuzzParseAllow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseTimeline$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzTimelineMembership$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pathsel -run '^$$' -fuzz '^FuzzStrategyLookup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/onion -run '^$$' -fuzz '^FuzzBuildPeel$$' -fuzztime $(FUZZTIME)
@@ -115,6 +117,15 @@ fuzz-smoke:
 # with a request in flight. CI runs exactly this target.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# perfbench-test builds the benchmark module (perfbench/ has its own go.mod
+# replacing anonmix with ../, so ./... never reaches it), runs its
+# self-tests without the workload runs, and holds it to anonlint. CI runs
+# exactly this target, so a library API change cannot break the benchmark
+# unnoticed.
+perfbench-test:
+	$(GO) -C perfbench test -short .
+	$(GO) run ./cmd/anonlint -dir perfbench ./...
 
 # clean removes only untracked snapshots: committed BENCH_*.json files are
 # the bench-compare trajectory baselines and must survive.

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -527,4 +528,31 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestOptimizeHugeTimeline pins one hostile input: a ~140-byte timeline
+// request at n = 16e6. Deriving the epochs' (N, C) is interval arithmetic,
+// so the request is answered without allocating anything proportional to
+// n (the per-node membership schedule used to allocate 7.5 GiB here).
+func TestOptimizeHugeTimeline(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := `{"n":16000000,"c":40,"hi":8,"mean":4,` +
+		`"epochs":"msgs=1000;msgs=1000,join=2000,comp=20;msgs=1000,leave=1000,recover=10;msgs=1000,join=500"}`
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var got OptimizeResponse
+	status := post(t, ts.URL+"/v1/optimize", body, &got)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusOK {
+		t.Fatalf("status %d, want 200", status)
+	}
+	if len(got.PerEpoch) != 4 || got.PerEpoch[2].N != 16_001_000 || got.PerEpoch[2].C != 50 {
+		t.Errorf("per-epoch curve %+v", got.PerEpoch)
+	}
+	// The engines and the solver take ≈10 MiB; anything per-node would take
+	// hundreds of MiB at this n.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("request allocated %d MiB (budget 64 MiB)", alloc>>20)
+	}
 }

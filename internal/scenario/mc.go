@@ -135,7 +135,7 @@ func runMCTimeline(cfg Config) (Result, error) {
 		}
 		mcCfg := montecarlo.Config{
 			N:             p.n(),
-			Compromised:   p.denseComp,
+			Compromised:   p.denseComp(),
 			Strategy:      cfg.Strategy,
 			Trials:        p.epoch.Messages,
 			Seed:          phaseSeed(cfg.Workload.Seed, i),
@@ -151,7 +151,8 @@ func runMCTimeline(cfg Config) (Result, error) {
 		}
 		if cfg.Workload.FixedSender {
 			mcCfg.FixedSender = true
-			mcCfg.Sender = trace.NodeID(p.denseOf[cfg.Workload.Sender])
+			ds, _ := p.live.rankOf(cfg.Workload.Sender)
+			mcCfg.Sender = trace.NodeID(ds)
 		}
 		pr, err := montecarlo.EstimateH(mcCfg)
 		if err != nil {

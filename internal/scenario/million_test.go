@@ -47,8 +47,9 @@ func TestMillionNodeScenario(t *testing.T) {
 
 // TestMillionNodeChurnScenario: the dynamic-population machinery keeps the
 // kernel's scale properties — a million-node timeline with joins, leaves,
-// and time-phased compromise stays within the same goroutine and heap
-// budgets as the static run (churn state is per-churned-node, never O(N)).
+// and time-phased compromise stays within the static run's goroutine
+// budget and a heap budget that per-node membership state would exceed
+// (churn state is per-churned-node, never O(N)).
 func TestMillionNodeChurnScenario(t *testing.T) {
 	res, err := scenario.Run(scenario.Config{
 		N:            1_000_000,
@@ -92,7 +93,9 @@ func TestMillionNodeChurnScenario(t *testing.T) {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > 4<<30 {
-		t.Errorf("heap after churn run = %d MiB (budget 4 GiB)", ms.HeapAlloc>>20)
+	// The budget is twice the heap measured with interval membership
+	// (≈26 MiB, against ≈160 MiB when phases materialized per-node maps).
+	if ms.HeapAlloc > 52<<20 {
+		t.Errorf("heap after churn run = %d MiB (budget 52 MiB)", ms.HeapAlloc>>20)
 	}
 }

@@ -363,45 +363,10 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 		T[e+1] = T[e] + span(m)
 	}
 
-	// The kernel's churn schedule is the phase-to-phase membership diff,
-	// ordered join → recover → compromise → leave per boundary so the
-	// kernel's per-node state machine sees only legal transitions.
-	p0 := &phases[0]
-	var down []trace.NodeID
-	for g := 0; g < totalIDs; g++ {
-		if _, live := p0.denseOf[trace.NodeID(g)]; !live {
-			down = append(down, trace.NodeID(g))
-		}
-	}
-	var churn []simnet.ChurnEvent
-	for e := 1; e < len(phases); e++ {
-		prev, cur := &phases[e-1], &phases[e]
-		at := T[e]
-		for _, g := range cur.live {
-			if _, was := prev.denseOf[g]; !was {
-				churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnJoin, Node: g})
-			}
-		}
-		for _, g := range prev.comp {
-			if !cur.compSet[g] {
-				churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnRecover, Node: g})
-			}
-		}
-		for _, g := range cur.comp {
-			if !prev.compSet[g] {
-				churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnCompromise, Node: g})
-			}
-		}
-		for _, g := range prev.live {
-			if _, still := cur.denseOf[g]; !still {
-				churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnLeave, Node: g})
-			}
-		}
-	}
-
+	down, churn := churnSchedule(phases, totalIDs, T)
 	nwCfg := simnet.Config{
 		N:           totalIDs,
-		Compromised: p0.comp,
+		Compromised: phases[0].comp.members(),
 		Down:        down,
 		Churn:       churn,
 		Seed:        cfg.Workload.Seed,
@@ -482,7 +447,7 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 			if cfg.Workload.FixedSender {
 				senders[s] = cfg.Workload.Sender
 			} else {
-				senders[s] = pool[strs[s].Intn(len(pool))]
+				senders[s] = pool.at(strs[s].Intn(pool.len()))
 			}
 		}
 	} else {
@@ -523,7 +488,7 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 				rng := stats.NewStream(phaseSeed(cfg.Workload.Seed, e), int64(m))
 				sender := cfg.Workload.Sender
 				if !cfg.Workload.FixedSender {
-					sender = p.live[rng.Intn(p.n())]
+					sender = p.live.at(rng.Intn(p.n()))
 				}
 				id, err := inject(e, &rng, sender)
 				if err != nil {
@@ -572,6 +537,37 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 	return res, nil
 }
 
+// churnSchedule derives the kernel's membership schedule from the phases:
+// the union identities absent at time zero, and at each boundary T[e] the
+// phase-to-phase membership diff, ordered join → recover → compromise →
+// leave (each ascending) so the kernel's per-node state machine sees only
+// legal transitions. Both are range differences of the interval sets, so
+// their cost is the number of churned identities, not the population.
+func churnSchedule(phases []phase, totalIDs int, T []uint64) ([]trace.NodeID, []simnet.ChurnEvent) {
+	absent := rangeSet(0, trace.NodeID(totalIDs)).minus(phases[0].live)
+	down := absent.members()
+	var churn []simnet.ChurnEvent
+	for e := 1; e < len(phases); e++ {
+		prev, cur := &phases[e-1], &phases[e]
+		for _, d := range [...]struct {
+			kind simnet.ChurnKind
+			ids  idSet
+		}{
+			{simnet.ChurnJoin, cur.live.minus(prev.live)},
+			{simnet.ChurnRecover, prev.comp.minus(cur.comp)},
+			{simnet.ChurnCompromise, cur.comp.minus(prev.comp)},
+			{simnet.ChurnLeave, prev.live.minus(cur.live)},
+		} {
+			for _, sp := range d.ids.spans {
+				for g := sp.lo; g < sp.hi; g++ {
+					churn = append(churn, simnet.ChurnEvent{Time: T[e], Kind: d.kind, Node: g})
+				}
+			}
+		}
+	}
+	return down, churn
+}
+
 // analyzeSingleShotTimeline measures a Messages timeline: every phase's
 // traffic is analyzed with that phase's adversary in its dense space, in
 // injection order for bit-reproducibility, and the phases blend into the
@@ -607,7 +603,7 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 			if fa != nil && !fa.delivered[id] {
 				continue // undelivered: excluded from H, counted in delivery stats
 			}
-			if p.compSet[sender] {
+			if p.comp.has(sender) {
 				sum.Add(0)
 				pSum.Add(0)
 				sumDeg.Add(0)
@@ -640,7 +636,7 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 			// observer, analyzed in the phase's dense space.
 			partials = partials[:0]
 			for _, rt := range fa.retries[id] {
-				do, ok := p.denseOf[rt.Observer]
+				do, ok := p.live.rankOf(rt.Observer)
 				if !ok {
 					continue
 				}
@@ -710,8 +706,9 @@ func analyzeRoutedTimeline(cfg Config, analysts []*adversary.Analyst,
 	}
 	var sc adversary.Scratch
 	entropies := make([]float64, k)
+	lives := roundLives(phases)
 	s := 0
-	draw := func(pi, r int) (*trace.MessageTrace, error) {
+	draw := func(pi, r int, _ trace.NodeID) (*trace.MessageTrace, error) {
 		id := ids[s*k+r]
 		mt := traces[id]
 		if mt == nil {
@@ -721,11 +718,11 @@ func analyzeRoutedTimeline(cfg Config, analysts []*adversary.Analyst,
 	}
 	for s = 0; s < sessions; s++ {
 		sender := senders[s]
-		identifiedAt, err := phasedSession(phases, analysts, pa, &sc, entropies, sender, conf, draw)
+		identifiedAt, err := phasedSession(phases, lives, analysts, pa, &sc, entropies, sender, conf, draw)
 		if err != nil {
 			return Result{}, err
 		}
-		if phases[first].compSet[sender] {
+		if phases[first].comp.has(sender) {
 			compSender++
 		}
 		for r, h := range entropies {

@@ -439,7 +439,7 @@ func newTimelineFaultAnalysis(cfg Config, nw *simnet.Network) (*faultAnalysis, e
 		if err != nil {
 			return nil, err
 		}
-		if fa.analystsU[i], err = adversary.NewAnalyst(e, cfg.Strategy.Length, p.denseComp); err != nil {
+		if fa.analystsU[i], err = adversary.NewAnalyst(e, cfg.Strategy.Length, p.denseComp()); err != nil {
 			return nil, err
 		}
 	}

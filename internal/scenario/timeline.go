@@ -18,10 +18,18 @@ package scenario
 //     creeping-compromise counterpart of "the first Count nodes").
 //   - Recoveries undo compromises LIFO (most recently compromised first).
 //
+// Every rule cuts the membership at a boundary instead of picking nodes
+// one by one, so each phase's live and compromised sets are stored as
+// sorted identity ranges (idSet, membership.go): O(epochs + Σ|deltas| +
+// explicit base-compromise runs) ranges in total, whatever N is. A phase's
+// (N_e, C_e) is therefore arithmetic, never a walk over N identities.
+//
 // Each phase maps its live members, in ascending identity order, onto the
 // dense space 0..n_e−1 the exact engine, the Monte-Carlo estimator, and
-// the adversary's analyst operate on; the union identity is what threads a
-// node through the phases of a degradation session.
+// the adversary's analyst operate on: dense → union is a rank search
+// (live.at), union → dense a binary search (live.rankOf). The union
+// identity is what threads a node through the phases of a degradation
+// session.
 
 import (
 	"fmt"
@@ -41,29 +49,42 @@ import (
 	"anonmix/internal/trace"
 )
 
-// phase is the normalized state of one epoch: the epoch's budgets plus the
-// materialized membership.
+// phase is the normalized state of one epoch: the epoch's budgets plus its
+// membership as interval sets, O(spans) in size however large the
+// population.
 type phase struct {
 	// epoch echoes the configured deltas and budgets.
 	epoch Epoch
-	// live lists the members in ascending union identity; live[i] is the
-	// union identity of dense node i.
-	live []trace.NodeID
-	// comp lists the compromised members (union identities, ascending).
-	comp []trace.NodeID
-	// denseComp holds the dense images of comp (positions in live).
-	denseComp []trace.NodeID
-	// denseOf inverts live: union identity → dense index.
-	denseOf map[trace.NodeID]int
-	// compSet marks the compromised union identities.
-	compSet map[trace.NodeID]bool
+	// live holds the members; dense node i is live.at(i), and
+	// live.rankOf inverts it.
+	live idSet
+	// comp holds the compromised members, a subset of live.
+	comp idSet
 }
 
 // n is the phase's live population size.
-func (p *phase) n() int { return len(p.live) }
+func (p *phase) n() int { return p.live.len() }
 
 // c is the phase's compromised count.
-func (p *phase) c() int { return len(p.comp) }
+func (p *phase) c() int { return p.comp.len() }
+
+// denseComp materializes the dense images of comp (positions in live,
+// ascending) for the consumers whose contract takes an O(C) slice: the
+// adversary's analyst and the Monte-Carlo estimator.
+func (p *phase) denseComp() []trace.NodeID {
+	if p.c() == 0 {
+		return nil
+	}
+	out := make([]trace.NodeID, 0, p.c())
+	for _, sp := range p.comp.spans {
+		// comp ⊆ live, so a compromised run is a run of consecutive ranks.
+		r, _ := p.live.rankOf(sp.lo)
+		for d := r; d < r+int(sp.hi-sp.lo); d++ {
+			out = append(out, trace.NodeID(d))
+		}
+	}
+	return out
+}
 
 // normalizeTimeline validates Config.Timeline, reconciles it with the
 // workload, and materializes the membership schedule into cfg.phases. A
@@ -108,22 +129,22 @@ func normalizeTimeline(cfg *Config) error {
 		}
 		cfg.Workload.Messages = msgs
 	}
-	phases, err := computePhases(cfg.N, cfg.Adversary.Compromised, cfg.Timeline)
+	phases, err := computePhases(cfg.N, compromiseRuns(cfg.Adversary.Compromised), cfg.Timeline)
 	if err != nil {
 		return err
 	}
 	if cfg.Workload.FixedSender {
 		s := cfg.Workload.Sender
 		for i := range phases {
-			if _, ok := phases[i].denseOf[s]; !ok {
+			if !phases[i].live.has(s) {
 				return fmt.Errorf("%w: fixed sender %v leaves during epoch %d", ErrBadConfig, s, i)
 			}
-			if phases[i].compSet[s] {
+			if phases[i].comp.has(s) {
 				return fmt.Errorf("%w: fixed sender %v is compromised in epoch %d", ErrBadConfig, s, i)
 			}
 		}
 	}
-	if rounds > 0 && !cfg.Workload.FixedSender && len(senderPool(phases)) == 0 {
+	if rounds > 0 && !cfg.Workload.FixedSender && senderPool(phases).len() == 0 {
 		return fmt.Errorf("%w: no node is a member through every traffic epoch (empty session sender pool)", ErrBadConfig)
 	}
 	if cfg.Strategy.Length != nil {
@@ -144,86 +165,65 @@ func normalizeTimeline(cfg *Config) error {
 	return nil
 }
 
-// computePhases materializes the deterministic membership schedule: the
-// state after applying each epoch's deltas in order (joins, leaves,
-// compromises, recoveries).
-func computePhases(n int, baseComp []trace.NodeID, timeline []Epoch) ([]phase, error) {
+// computePhases derives the deterministic membership schedule: the state
+// after applying each epoch's deltas in order (joins, leaves, compromises,
+// recoveries). base lists the initially compromised identities as
+// compromise-order runs (see compromiseRuns). Every step is set algebra on
+// interval sets, so the cost is O(epochs × spans), independent of n.
+func computePhases(n int, base []span, timeline []Epoch) ([]phase, error) {
 	total := n
 	for _, e := range timeline {
+		if e.Join > math.MaxInt-total {
+			return nil, fmt.Errorf("%w: timeline joins overflow the identity space (%d initial nodes)", ErrBadConfig, n)
+		}
 		total += e.Join
 	}
-	live := make([]bool, total)
-	for v := 0; v < n; v++ {
-		live[v] = true
+	live := rangeSet(0, trace.NodeID(n))
+	// stack tracks compromise order for LIFO recovery; the base set counts
+	// as compromised in configuration order.
+	var stack []span
+	for _, sp := range base {
+		stack = appendSpan(stack, sp)
 	}
-	compSet := make(map[trace.NodeID]bool, len(baseComp))
-	// compOrder tracks compromise order for LIFO recovery; the base set
-	// counts as compromised in configuration order.
-	compOrder := append([]trace.NodeID(nil), baseComp...)
-	for _, id := range baseComp {
-		compSet[id] = true
-	}
+	sorted := append([]span(nil), stack...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].lo < sorted[j].lo })
+	comp := newIDSet(sorted)
 	next := trace.NodeID(n)
 	phases := make([]phase, 0, len(timeline))
 	for i, e := range timeline {
-		for j := 0; j < e.Join; j++ {
-			live[next] = true
-			next++
+		if e.Join > 0 {
+			live = live.union(rangeSet(next, next+trace.NodeID(e.Join)))
+			next += trace.NodeID(e.Join)
 		}
 		// Leaves take the highest-identity honest members, compromises the
-		// lowest. The cursors are bounded by the allocated identity range
-		// (identities ≥ next are future joiners, never live) and persist
-		// across the epoch's loop, so an epoch's deltas cost one descending
-		// plus one ascending walk — not a rescan per node.
-		leaveCur := int(next) - 1
-		for j := 0; j < e.Leave; j++ {
-			for leaveCur >= 0 && !(live[leaveCur] && !compSet[trace.NodeID(leaveCur)]) {
-				leaveCur--
-			}
-			if leaveCur < 0 {
+		// lowest.
+		if e.Leave > 0 {
+			honest := live.minus(comp)
+			if honest.len() < e.Leave {
 				return nil, fmt.Errorf("%w: epoch %d: no honest member left to leave", ErrBadConfig, i)
 			}
-			live[leaveCur] = false
+			live = live.minus(honest.highest(e.Leave))
 		}
-		compCur := 0
-		for j := 0; j < e.Compromise; j++ {
-			for compCur < int(next) && !(live[compCur] && !compSet[trace.NodeID(compCur)]) {
-				compCur++
-			}
-			if compCur >= int(next) {
+		if e.Compromise > 0 {
+			honest := live.minus(comp)
+			if honest.len() < e.Compromise {
 				return nil, fmt.Errorf("%w: epoch %d: no honest member left to compromise", ErrBadConfig, i)
 			}
-			compSet[trace.NodeID(compCur)] = true
-			compOrder = append(compOrder, trace.NodeID(compCur))
+			taken := honest.lowest(e.Compromise)
+			comp = comp.union(taken)
+			for _, sp := range taken.spans {
+				stack = appendSpan(stack, sp)
+			}
 		}
-		for j := 0; j < e.Recover; j++ {
-			if len(compOrder) == 0 {
+		if e.Recover > 0 {
+			if comp.len() < e.Recover {
 				return nil, fmt.Errorf("%w: epoch %d: no compromised node left to recover", ErrBadConfig, i)
 			}
-			v := compOrder[len(compOrder)-1]
-			compOrder = compOrder[:len(compOrder)-1]
-			delete(compSet, v)
+			var popped idSet
+			stack, popped = popRuns(stack, e.Recover)
+			comp = comp.minus(popped)
 		}
-		p := phase{
-			epoch:   e,
-			denseOf: make(map[trace.NodeID]int),
-			compSet: make(map[trace.NodeID]bool, len(compSet)),
-		}
-		// Snapshot over the allocated range only; identities ≥ next have
-		// not joined in any phase so far.
-		for g := 0; g < int(next); g++ {
-			if !live[g] {
-				continue
-			}
-			id := trace.NodeID(g)
-			p.denseOf[id] = len(p.live)
-			p.live = append(p.live, id)
-			if compSet[id] {
-				p.comp = append(p.comp, id)
-				p.denseComp = append(p.denseComp, trace.NodeID(p.denseOf[id]))
-				p.compSet[id] = true
-			}
-		}
+		p := phase{epoch: e, live: live, comp: comp}
 		if p.n() < 2 {
 			return nil, fmt.Errorf("%w: epoch %d leaves %d live nodes (need ≥ 2)", ErrBadConfig, i, p.n())
 		}
@@ -236,11 +236,10 @@ func computePhases(n int, baseComp []trace.NodeID, timeline []Epoch) ([]phase, e
 	return phases, nil
 }
 
-// EpochState summarizes one epoch of a materialized timeline schedule: the
-// live population, the compromised count, and the epoch's share of the
+// EpochState summarizes one epoch of a timeline schedule: the live
+// population, the compromised count, and the epoch's share of the
 // timeline's traffic. It is the population-trajectory view consumers like
-// the epoch-aware optimizer need, without the identity maps the execution
-// backends carry.
+// the epoch-aware optimizer need: counts only, no identities.
 type EpochState struct {
 	// Index is the epoch's position in the timeline.
 	Index int
@@ -254,12 +253,13 @@ type EpochState struct {
 	Weight float64
 }
 
-// TimelineStates materializes the deterministic membership schedule of a
+// TimelineStates derives the deterministic membership schedule of a
 // timeline over a base population of n nodes with the first c compromised
 // (the standard adversary layout), returning each epoch's (N, C) and
 // traffic weight. It applies the same identity rules as the execution
 // backends, so the returned trajectory is exactly the one a scenario run
-// would traverse.
+// would traverse. Its time and memory depend on the number of epochs, not
+// on n or the deltas' sizes.
 func TimelineStates(n, c int, timeline []Epoch) ([]EpochState, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 nodes, have %d", ErrBadConfig, n)
@@ -275,11 +275,7 @@ func TimelineStates(n, c int, timeline []Epoch) ([]EpochState, error) {
 			return nil, fmt.Errorf("%w: epoch %d has a negative field (%+v)", ErrBadConfig, i, e)
 		}
 	}
-	comp := make([]trace.NodeID, c)
-	for i := range comp {
-		comp[i] = trace.NodeID(i)
-	}
-	phases, err := computePhases(n, comp, timeline)
+	phases, err := computePhases(n, []span{{0, trace.NodeID(c)}}, timeline)
 	if err != nil {
 		return nil, err
 	}
@@ -327,42 +323,33 @@ func timelineRounds(phases []phase) bool {
 
 // senderPool returns the union identities eligible to carry a persistent
 // session: members of every phase that sends rounds (compromised members
-// included — theirs is the local-eavesdropper branch).
-func senderPool(phases []phase) []trace.NodeID {
-	var pool []trace.NodeID
-	for _, g := range unionMembers(phases) {
-		ok := true
-		for i := range phases {
-			if phases[i].epoch.Rounds == 0 {
-				continue
-			}
-			if _, live := phases[i].denseOf[g]; !live {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			pool = append(pool, g)
+// included — theirs is the local-eavesdropper branch), or of any phase
+// when none does. Sessions draw pool.at(rng.Intn(pool.len())), the
+// ascending-order draw of a materialized pool.
+func senderPool(phases []phase) idSet {
+	var pool idSet
+	for i := range phases {
+		pool = pool.union(phases[i].live)
+	}
+	for i := range phases {
+		if phases[i].epoch.Rounds > 0 {
+			pool = pool.intersect(phases[i].live)
 		}
 	}
 	return pool
 }
 
-// unionMembers lists every union identity live in at least one phase,
-// ascending.
-func unionMembers(phases []phase) []trace.NodeID {
-	seen := map[trace.NodeID]bool{}
-	var out []trace.NodeID
+// roundLives materializes the live lists of the phases that send rounds —
+// the dense → union maps PhasedAccumulator.Observe takes. Degradation runs
+// alone need them, and their accumulator is already O(union).
+func roundLives(phases []phase) [][]trace.NodeID {
+	lives := make([][]trace.NodeID, len(phases))
 	for i := range phases {
-		for _, g := range phases[i].live {
-			if !seen[g] {
-				seen[g] = true
-				out = append(out, g)
-			}
+		if phases[i].epoch.Rounds > 0 {
+			lives[i] = phases[i].live.members()
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return lives
 }
 
 // timelineWeights returns each phase's share of the total traffic
@@ -407,7 +394,7 @@ func (p *phase) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error) 
 		if g == trace.Receiver {
 			return trace.Receiver, nil
 		}
-		d, ok := p.denseOf[g]
+		d, ok := p.live.rankOf(g)
 		if !ok {
 			return 0, fmt.Errorf("scenario: node %v observed outside its membership phase", g)
 		}
@@ -449,18 +436,22 @@ func (p *phase) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error) 
 // are written into the caller's buffer, indexed by global round (its
 // length must be the timeline's total rounds); identifiedAt is the first
 // 1-based round reaching the confidence threshold (0 = never).
-func phasedSession(phases []phase, analysts []*adversary.Analyst,
+func phasedSession(phases []phase, lives [][]trace.NodeID, analysts []*adversary.Analyst,
 	pa *adversary.PhasedAccumulator, sc *adversary.Scratch, entropies []float64,
 	sender trace.NodeID, conf float64,
-	draw func(pi, r int) (*trace.MessageTrace, error)) (identifiedAt int, err error) {
+	draw func(pi, r int, ds trace.NodeID) (*trace.MessageTrace, error)) (identifiedAt int, err error) {
 	pa.Reset()
 	r := 0
 	dead := false // sender observed as compromised: identified for good
 	for pi := range phases {
 		p := &phases[pi]
-		if p.epoch.Rounds > 0 && p.compSet[sender] {
+		if p.epoch.Rounds == 0 {
+			continue
+		}
+		if p.comp.has(sender) {
 			dead = true
 		}
+		ds, _ := p.live.rankOf(sender)
 		for j := 0; j < p.epoch.Rounds; j++ {
 			if dead {
 				entropies[r] = 0
@@ -470,11 +461,11 @@ func phasedSession(phases []phase, analysts []*adversary.Analyst,
 				r++
 				continue
 			}
-			mt, err := draw(pi, r)
+			mt, err := draw(pi, r, trace.NodeID(ds))
 			if err != nil {
 				return 0, err
 			}
-			if err := pa.ObserveScratch(analysts[pi], mt, p.live, sc); err != nil {
+			if err := pa.ObserveScratch(analysts[pi], mt, lives[pi], sc); err != nil {
 				return 0, err
 			}
 			h, top, mass, err := pa.SnapshotFast()
@@ -574,13 +565,14 @@ func ParseTimeline(s string) ([]Epoch, error) {
 // copy is freshly allocated — it crosses the kernel boundary and outlives
 // the sampler's reusable buffer.
 func drawPhasePath(p *phase, sp *pathsel.Sampler, rng *stats.Stream, sender trace.NodeID) ([]trace.NodeID, error) {
-	dense, err := sp.SelectPath(rng, trace.NodeID(p.denseOf[sender]))
+	ds, _ := p.live.rankOf(sender)
+	dense, err := sp.SelectPath(rng, trace.NodeID(ds))
 	if err != nil {
 		return nil, err
 	}
 	global := make([]trace.NodeID, len(dense))
 	for i, d := range dense {
-		global[i] = p.live[d]
+		global[i] = p.live.at(int(d))
 	}
 	return global, nil
 }
@@ -610,7 +602,7 @@ func phasedMachinery(cfg Config, backend string) ([]*adversary.Analyst, []*paths
 			return nil, nil, capability.Unsupported(backend,
 				capability.ErrInference, "no-sender-self-report ablation is supported only on the exact backend's closed-form analysis")
 		}
-		if analysts[i], err = adversary.NewAnalyst(e, cfg.Strategy.Length, p.denseComp); err != nil {
+		if analysts[i], err = adversary.NewAnalyst(e, cfg.Strategy.Length, p.denseComp()); err != nil {
 			return nil, nil, err
 		}
 		if sels[i], err = pathsel.NewSelector(p.n(), cfg.Strategy); err != nil {
@@ -648,8 +640,7 @@ type phasedArena struct {
 	mt        trace.MessageTrace
 	entropies []float64
 	rng       stats.Stream
-	sender    trace.NodeID
-	draw      func(pi, r int) (*trace.MessageTrace, error)
+	draw      func(pi, r int, ds trace.NodeID) (*trace.MessageTrace, error)
 }
 
 // runPhasedRounds executes a degradation timeline analytically:
@@ -672,7 +663,8 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 		k        = cfg.Workload.Rounds
 		conf     = cfg.Workload.Confidence
 		first    = firstTrafficPhase(phases)
-		pool     []trace.NodeID
+		lives    = roundLives(phases)
+		pool     idSet
 	)
 	if !cfg.Workload.FixedSender {
 		pool = senderPool(phases)
@@ -696,9 +688,7 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 		if ar.pa, err = adversary.NewPhasedAccumulator(total); err != nil {
 			return nil, err
 		}
-		ar.draw = func(pi, r int) (*trace.MessageTrace, error) {
-			ph := &phases[pi]
-			ds := trace.NodeID(ph.denseOf[ar.sender])
+		ar.draw = func(pi, r int, ds trace.NodeID) (*trace.MessageTrace, error) {
 			dense, err := ar.samplers[pi].SelectPath(&ar.rng, ds)
 			if err != nil {
 				return nil, err
@@ -752,16 +742,15 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 				ar.rng = stats.NewStream(cfg.Workload.Seed, int64(s))
 				sender := cfg.Workload.Sender
 				if !cfg.Workload.FixedSender {
-					sender = pool[ar.rng.Intn(len(pool))]
+					sender = pool.at(ar.rng.Intn(pool.len()))
 				}
-				ar.sender = sender
-				identifiedAt, err := phasedSession(phases, analysts, ar.pa, &ar.sc,
+				identifiedAt, err := phasedSession(phases, lives, analysts, ar.pa, &ar.sc,
 					ar.entropies, sender, conf, ar.draw)
 				if err != nil {
 					p.err = err
 					return
 				}
-				if phases[first].compSet[sender] {
+				if phases[first].comp.has(sender) {
 					p.compSender++
 				}
 				for r, h := range ar.entropies {
