@@ -6,7 +6,7 @@ DATE := $(shell date +%Y%m%d)
 # stack of PRs landing together) never clobbers an earlier measurement.
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all build vet lint test race bench bench-smoke bench-compare cover fuzz-smoke serve-smoke perfbench-test profile clean
+.PHONY: all build vet lint test race bench bench-smoke bench-compare cover fuzz-smoke serve-smoke perfbench-test examples profile clean
 
 all: build vet lint test
 
@@ -117,6 +117,22 @@ fuzz-smoke:
 # with a request in flight. CI runs exactly this target.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# examples builds every examples/* program into a temporary directory and
+# runs it, failing on a build error or a non-zero exit (a failing
+# example's output is printed). CI runs exactly this target, so an API
+# change that breaks an example fails there, not only at compile time.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for dir in examples/*/; do \
+		name=$$(basename "$$dir"); \
+		$(GO) build -o "$$tmp/$$name" "./$$dir" || exit 1; \
+		if "$$tmp/$$name" > "$$tmp/$$name.out" 2>&1; then \
+			echo "ok   examples/$$name"; \
+		else \
+			cat "$$tmp/$$name.out"; echo "FAIL examples/$$name"; exit 1; \
+		fi; \
+	done
 
 # perfbench-test builds the benchmark module (perfbench/ has its own go.mod
 # replacing anonmix with ../, so ./... never reaches it), runs its

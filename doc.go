@@ -40,8 +40,9 @@
 //     counting on Crowds. Results carry the degradation curve H_1..H_k
 //     (Result.HRounds) and, with Workload.Confidence set, identification
 //     statistics; a second agreement test pins the three backends' curves
-//     against each other at k ∈ {1, 4, 16}. internal/degrade is a thin
-//     façade over this machinery.
+//     against each other at k ∈ {1, 4, 16}. Repeated-communication
+//     experiments (examples/longterm, BenchmarkDegradation) are
+//     scenario.Run configs with a fixed sender and confidence tracking.
 //
 //     The third dimension is time: Config.Timeline makes the population
 //     dynamic as a sequence of piecewise-constant Epochs, each carrying a
@@ -52,7 +53,9 @@
 //     traffic-weighted mixture; Monte-Carlo samples each phase stratified;
 //     the testbed executes the schedule as kernel-level churn events at
 //     virtual timestamps with path selection restricted to the live
-//     membership. Degradation timelines thread persistent sessions across
+//     membership — the same phase loop every routed testbed run goes
+//     through, a static config being its one-phase case. Degradation
+//     timelines thread persistent sessions across
 //     the phase boundaries through adversary.PhasedAccumulator: each
 //     round's posterior lives over its phase's population, accumulation
 //     happens over the union identity space, members absent during an

@@ -13,8 +13,9 @@ import (
 	"fmt"
 	"log"
 
-	"anonmix/internal/degrade"
+	"anonmix/internal/crowds"
 	"anonmix/internal/pathsel"
+	"anonmix/internal/scenario"
 	"anonmix/internal/trace"
 )
 
@@ -50,38 +51,53 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := degrade.Run(degrade.Config{
-			N:           n,
-			Compromised: compromised,
-			Strategy:    strat,
-			Sender:      9,
-			Confidence:  confidence,
-			MaxRounds:   maxRounds,
-			Trials:      trials,
-			Seed:        77,
+		// Fixed-sender sessions on the exact backend: every round's
+		// posterior is exact, accumulated until the confidence threshold.
+		res, err := scenario.Run(scenario.Config{
+			N:         n,
+			Backend:   scenario.BackendExact,
+			Strategy:  strat,
+			Adversary: scenario.Adversary{Compromised: compromised},
+			Workload: scenario.Workload{
+				Messages:    trials,
+				Rounds:      maxRounds,
+				Confidence:  confidence,
+				FixedSender: true,
+				Sender:      9,
+				Seed:        77,
+			},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-14s %13.0f%% %14.1f %10.3f %10.3f %12.3f\n",
-			s.name, 100*res.IdentifiedShare, res.MeanRounds,
-			res.MeanEntropyAfter[0], res.MeanEntropyAfter[9], res.MeanEntropyAfter[49])
+			s.name, 100*res.IdentifiedShare, res.MeanRoundsToIdentify,
+			res.HRounds[0], res.HRounds[9], res.HRounds[49])
 	}
 
 	// The Crowds variant: predecessor counting across path reformations.
 	fmt.Println("\nCrowds predecessor counting (N=30, C=3, pf=0.75):")
-	bound, err := degrade.CrowdsRoundsBound(n, len(compromised), 0.75, 0.1)
+	bound, err := crowds.RoundsBound(n, len(compromised), 0.75, 0.1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  Hoeffding bound: %d observed rounds suffice for 90%% identification\n", bound)
 	for _, rounds := range []int{5, 25, 100, 400} {
-		res, err := degrade.CrowdsDegradation(n, len(compromised), 0.75, rounds, 300, 21)
+		// 300 initiators, each re-forming its Crowds path every round on
+		// the testbed's jondo substrate.
+		res, err := scenario.Run(scenario.Config{
+			N:         n,
+			Backend:   scenario.BackendTestbed,
+			Protocol:  scenario.ProtocolCrowds,
+			CrowdsPf:  0.75,
+			Adversary: scenario.Adversary{Count: len(compromised)},
+			Workload:  scenario.Workload{Messages: 300, Rounds: rounds, Seed: 21},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %4d reformations: identified %5.1f%%  (collaborator saw %.1f of them)\n",
-			rounds, 100*res.IdentifiedShare, res.MeanObservedRounds)
+			rounds, 100*res.Crowds.TopCountIdentifiedShare, res.Crowds.MeanObservedRounds)
 	}
 
 	fmt.Println("\nTakeaway: single-message anonymity degrees translate directly into")

@@ -7,8 +7,7 @@ package adversary
 // below is the engine-exact version of that attack; the scenario layer
 // drives it from every backend (the exact engine replays synthesized
 // traces, the Monte-Carlo estimator folds sampled sessions, the testbed
-// feeds it collected tuple streams), and package degrade re-exports it for
-// compatibility.
+// feeds it collected tuple streams).
 
 import (
 	"errors"

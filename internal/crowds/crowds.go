@@ -139,6 +139,37 @@ func OnPathProb(n, c, l int) (float64, error) {
 	return 1 - miss, nil
 }
 
+// RoundsBound returns a Chernoff-style upper bound on the number of
+// *observed* rounds after which predecessor counting separates the
+// initiator from every other honest jondo with failure probability at most
+// delta. With per-observation initiator rate p1 = P(H1|H1+) and
+// per-other-jondo rate q = (1−p1)/(n−c−1), the counts separate once
+//
+//	R ≥ 2·ln((n−c−1)/delta) / (p1 − q)²
+//
+// by Hoeffding's inequality applied to the count difference of each
+// competing jondo, union-bounded over the n−c−1 competitors.
+func RoundsBound(n, c int, pf, delta float64) (int, error) {
+	p1, err := PredecessorProb(n, c, pf)
+	if err != nil {
+		return 0, err
+	}
+	if delta <= 0 || delta >= 1 {
+		return 0, fmt.Errorf("%w: delta %v", ErrBadParam, delta)
+	}
+	others := float64(n - c - 1)
+	if others < 1 {
+		return 1, nil
+	}
+	q := (1 - p1) / others
+	gap := p1 - q
+	if gap <= 0 {
+		return 0, fmt.Errorf("%w: no identification gap (p1 = %v, q = %v)", ErrBadParam, p1, q)
+	}
+	r := 2 * math.Log(others/delta) / (gap * gap)
+	return int(math.Ceil(r)), nil
+}
+
 // SimulatePredecessor estimates P(H1 | H1+) by direct protocol simulation:
 // it walks random Crowds paths and reports the fraction of paths, among
 // those visiting at least one collaborator, whose first collaborator saw

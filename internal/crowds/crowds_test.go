@@ -8,6 +8,7 @@ import (
 
 	"anonmix/internal/crowds"
 	"anonmix/internal/entropy"
+	"anonmix/internal/scenario"
 	"anonmix/internal/simnet"
 	"anonmix/internal/trace"
 )
@@ -225,5 +226,60 @@ func TestOnPathProb(t *testing.T) {
 		if _, err := crowds.OnPathProb(tc.n, tc.c, tc.l); !errors.Is(err, crowds.ErrBadParam) {
 			t.Errorf("n=%d c=%d l=%d accepted", tc.n, tc.c, tc.l)
 		}
+	}
+}
+
+// TestCrowdsRoundsBoundIsSufficient: running the testbed's Crowds
+// substrate for the bound's number of rounds identifies the initiator with
+// at least the promised probability.
+func TestCrowdsRoundsBoundIsSufficient(t *testing.T) {
+	const (
+		n, c  = 20, 2
+		pf    = 0.75
+		delta = 0.1
+	)
+	bound, err := crowds.RoundsBound(n, c, pf, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound < 1 {
+		t.Fatalf("bound = %d", bound)
+	}
+	// The bound counts *observed* rounds; convert to total reformations
+	// using the observation rate P(H1+) ≈ (c/n)/(1−pf(n−c)/n).
+	r := pf * float64(n-c) / float64(n)
+	obsRate := (float64(c) / float64(n)) / (1 - r)
+	total := int(math.Ceil(float64(bound)/obsRate)) + 1
+	res, err := scenario.Run(scenario.Config{
+		N:         n,
+		Backend:   scenario.BackendTestbed,
+		Protocol:  scenario.ProtocolCrowds,
+		CrowdsPf:  pf,
+		Adversary: scenario.Adversary{Count: c},
+		Workload:  scenario.Workload{Messages: 300, Rounds: total, Seed: 13},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Crowds.TopCountIdentifiedShare; got < 1-delta-0.05 {
+		t.Errorf("bound %d observed rounds (%d total): identified %v, want ≥ %v",
+			bound, total, got, 1-delta-0.05)
+	}
+}
+
+func TestCrowdsRoundsBoundValidation(t *testing.T) {
+	if _, err := crowds.RoundsBound(20, 2, 0.75, 0); !errors.Is(err, crowds.ErrBadParam) {
+		t.Error("delta=0 accepted")
+	}
+	if _, err := crowds.RoundsBound(20, 2, 1.5, 0.1); err == nil {
+		t.Error("bad pf accepted")
+	}
+	// n−c−1 = 0: single honest jondo, trivially identified.
+	b, err := crowds.RoundsBound(3, 2, 0.6, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != 1 {
+		t.Errorf("degenerate bound = %d, want 1", b)
 	}
 }

@@ -55,6 +55,13 @@ func TestRunContextCheckpointSweep(t *testing.T) {
 			Timeline:     []scenario.Epoch{{Rounds: 2}, {Rounds: 2, Compromise: 2}},
 			Workload:     scenario.Workload{Messages: 130, Seed: 4},
 		}},
+		{"testbed-rounds", scenario.Config{
+			N:            16,
+			Backend:      scenario.BackendTestbed,
+			StrategySpec: "uniform:1,5",
+			Adversary:    scenario.Adversary{Count: 3},
+			Workload:     scenario.Workload{Messages: 130, Rounds: 3, Seed: 4},
+		}},
 		{"testbed-crowds", scenario.Config{
 			N:            16,
 			Backend:      scenario.BackendTestbed,
@@ -93,6 +100,16 @@ func TestRunContextCheckpointSweep(t *testing.T) {
 			if total < 2 {
 				t.Fatalf("only %d Err polls — no in-loop checkpoints to sweep", total)
 			}
+			// The testbed polls at least once per batch of injections in
+			// every mode, so no run is uncancelable for longer than one
+			// batch, however many sessions a round wave carries.
+			if tc.cfg.Backend == scenario.BackendTestbed {
+				n := injections(tc.cfg)
+				if want := int64((n + checkpointGranule - 1) / checkpointGranule); total < want {
+					t.Errorf("%d Err polls over %d injections, want ≥ %d (one per %d)",
+						total, n, want, checkpointGranule)
+				}
+			}
 			// Land the cancellation on each checkpoint in turn. The run is
 			// deterministic up to the first canceled poll, so checkpoint
 			// after+1 of the probe trace is exactly where each replay dies.
@@ -106,6 +123,27 @@ func TestRunContextCheckpointSweep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkpointGranule is the sampling backends' batch size, the testbed's
+// cancellation granule (scenario's sessionBatchSize).
+const checkpointGranule = 64
+
+// injections is a testbed config's first-wave injection count: every
+// timeline epoch's messages, or sessions × rounds.
+func injections(cfg scenario.Config) int {
+	msgs, rounds := 0, 0
+	for _, e := range cfg.Timeline {
+		msgs += e.Messages
+		rounds += e.Rounds
+	}
+	switch {
+	case rounds > 0:
+		return cfg.Workload.Messages * rounds
+	case msgs > 0:
+		return msgs
+	}
+	return cfg.Workload.Messages * max(cfg.Workload.Rounds, 1)
 }
 
 // TestRunContextErrorPassthrough pins that an armed context does not

@@ -200,7 +200,8 @@ func TestSeedDeterminism(t *testing.T) {
 
 // TestDegradationIdentification: with a fixed honest sender and a
 // confidence threshold, every backend identifies the sender given enough
-// rounds, and reports coherent identification statistics.
+// rounds, reports coherent identification statistics, and identifies it
+// sooner when the adversary holds more nodes.
 func TestDegradationIdentification(t *testing.T) {
 	base := scenario.Config{
 		N:            12,
@@ -236,6 +237,16 @@ func TestDegradationIdentification(t *testing.T) {
 			if !(res.HRounds[0] > res.HRounds[30] && res.HRounds[30] > res.HRounds[119]) {
 				t.Errorf("mean entropy not decreasing: %v %v %v",
 					res.HRounds[0], res.HRounds[30], res.HRounds[119])
+			}
+			more := cfg
+			more.Adversary = scenario.Adversary{Compromised: []trace.NodeID{2, 7, 9, 11}}
+			fast, err := scenario.Run(more)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !(fast.MeanRoundsToIdentify < res.MeanRoundsToIdentify) {
+				t.Errorf("4 compromised (%v rounds) should identify faster than 2 (%v rounds)",
+					fast.MeanRoundsToIdentify, res.MeanRoundsToIdentify)
 			}
 		})
 	}

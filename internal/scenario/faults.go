@@ -86,9 +86,9 @@ func normalizeFaults(cfg *Config) error {
 // phaseSpan is the virtual-time window wide enough for m messages of this
 // scenario: the injection clock advance plus the worst-case per-hop
 // latency (the hop tick, the jitter, and — under PolicyRetransmit — the
-// full retransmission backoff budget) over the deepest path. It extends
-// the lossless formula of runRoutedTimeline so faulted phases still end
-// strictly before the next phase's boundary.
+// full retransmission backoff budget) over the deepest path — the window
+// runRoutedPhases gives each phase, so faulted phases still end strictly
+// before the next phase's boundary.
 func phaseSpan(cfg *Config, m int) uint64 {
 	jitter := uint64(cfg.Workload.MaxHopDelay)
 	var budget uint64

@@ -6,13 +6,35 @@ package scenario
 // threshold-mix batching — and measures the anonymity degree empirically
 // by running the adversary's inference over the collected tuples.
 //
-// With Workload.Rounds > 1 every scenario becomes a set of persistent
-// sender→receiver sessions: each session's initiator stays fixed while its
-// path re-forms every round, and the adversary accumulates across the
-// session's messages — Bayesian posterior multiplication (the
-// generalized intersection attack: witnessed identities are zeroed, so
-// candidate sets shrink round over round) on the routed substrates, and
-// Reiter–Rubin predecessor counting on Crowds.
+// The source-routed substrates (plain, onion, mix) have one driver,
+// runRoutedPhases, and one analysis, analyzeTraffic, for every config: a
+// timeline runs one phase per epoch, and a static config runs as a single
+// phase over the identity membership 0..N−1 — the paper's H*(S) of a fixed
+// system is exactly one epoch of a timeline. The driver injects phase by
+// phase and settles the network between phases; the analysis folds the
+// collected traces in one of two shapes:
+//
+//   - Messages runs: every message is analyzed on its own with its
+//     phase's adversary, and the phases blend into the pooled mean. Under
+//     a fault plan H covers the delivered messages and HDegraded folds the
+//     evidence retries leaked (testbed_faults.go, which also owns the
+//     PolicyReroute wave loop).
+//   - Rounds runs (Workload.Rounds > 1, identification tracking, or a
+//     Rounds timeline): Workload.Messages persistent sessions keep their
+//     sender while their path re-forms every round, injected in round
+//     waves, and the adversary multiplies each session's posteriors
+//     across rounds and phases — the generalized intersection attack:
+//     witnessed identities are zeroed, so candidate sets shrink round over
+//     round.
+//
+// A static run differs from a one-epoch timeline only where its results
+// are pinned: its message streams derive from Workload.Seed rather than
+// phaseSeed, and it reports no Epochs.
+//
+// The Crowds substrate keeps its own driver, runCrowds: routing is the
+// protocol's coin flips, and the adversary counts predecessors
+// (Reiter–Rubin) across each session's rounds instead of inverting source
+// routes.
 
 import (
 	cryptorand "crypto/rand"
@@ -26,7 +48,7 @@ import (
 	"anonmix/internal/adversary"
 	"anonmix/internal/crowds"
 	"anonmix/internal/entropy"
-	"anonmix/internal/events"
+	"anonmix/internal/faults"
 	"anonmix/internal/onion"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario/capability"
@@ -61,283 +83,55 @@ func (testbedBackend) Run(cfg Config) (Result, error) {
 		return Result{}, capability.Unsupported(string(BackendTestbed),
 			capability.ErrComplicatedPaths, cfg.Strategy.Name+" (run it on the crowds substrate)")
 	}
-	if len(cfg.phases) > 0 {
-		return runRoutedTimeline(cfg)
-	}
-	if cfg.Faults != nil {
-		return runRoutedFaulty(cfg)
-	}
-	return runRouted(cfg)
+	return runRoutedPhases(cfg)
 }
 
-// runRouted executes the source-routed substrates (plain, onion, mix):
-// paths come from the strategy's selector, the network carries them, and
-// the adversary's empirical mean posterior entropy is the measured H*(S).
-// With Rounds > 1 each of the Workload.Messages sessions injects one
-// message per round from its fixed sender.
-func runRouted(cfg Config) (Result, error) {
-	engine, err := Engine(cfg.N, len(cfg.Adversary.Compromised), engineOptions(cfg)...)
-	if err != nil {
-		return Result{}, err
-	}
-	if engine.Mode() != events.InferenceStandard {
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrInference, engine.Mode().String())
-	}
-	if !engine.SenderSelfReport() {
-		// The empirical pipeline hardcodes the local-eavesdropper branch
-		// (a compromised sender is identified outright); running the
-		// no-self-report ablation here would silently bias H low.
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrInference, "no-sender-self-report ablation is exact-only")
-	}
-	// The config arrives normalized from Run, and the engine is already in
-	// hand — build the analyst directly.
-	analyst, err := adversary.NewAnalyst(engine, cfg.Strategy.Length, cfg.Adversary.Compromised)
-	if err != nil {
-		return Result{}, err
-	}
-	sel, err := pathsel.NewSelector(cfg.N, cfg.Strategy)
-	if err != nil {
-		return Result{}, err
-	}
-
-	nwCfg := simnet.Config{
-		N:           cfg.N,
-		Compromised: cfg.Adversary.Compromised,
-		Seed:        cfg.Workload.Seed,
-		MaxHopDelay: cfg.Workload.MaxHopDelay,
-	}
-	var ring *onion.KeyRing
-	if cfg.Protocol == ProtocolOnion {
-		var secret [8]byte
-		binary.LittleEndian.PutUint64(secret[:], uint64(cfg.Workload.Seed)+0x517cc1b727220a95)
-		ring, err = onion.NewKeyRing(secret[:], cfg.N)
-		if err != nil {
-			return Result{}, err
-		}
-		fwd, err := onion.NewForwarder(ring)
-		if err != nil {
-			return Result{}, err
-		}
-		nwCfg.Forwarder = fwd
-	}
-	if cfg.Protocol == ProtocolMix {
-		nwCfg.BatchThreshold = cfg.Workload.BatchThreshold
-		if nwCfg.BatchThreshold < 2 {
-			nwCfg.BatchThreshold = defaultMixBatch
-		}
-		// Batch composition follows arrival order, which is scheduling-
-		// dependent across shards; one shard keeps mix scenarios
-		// bit-reproducible for a fixed seed (plain/onion runs stay
-		// parallel — their analysis is order-independent).
-		nwCfg.Shards = 1
-	}
-	baseGoroutines := runtime.NumGoroutine()
-	nw, err := simnet.New(nwCfg)
-	if err != nil {
-		return Result{}, err
-	}
-	nw.Start()
-	defer nw.Close()
-
-	sessions := cfg.Workload.Messages
-	rounds := cfg.Workload.Rounds
-
-	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
-	// Each session draws from its own counter-based stream — the same
-	// streams the Monte-Carlo estimator consumes per trial, so backend
-	// agreement is draw-for-draw, not just statistical. The sampler's path
-	// buffer is reused across injections: SendRoute copies the route and
-	// onion.Build consumes it synchronously.
-	sp, err := sel.NewSampler()
-	if err != nil {
-		return Result{}, err
-	}
-	senders := make([]trace.NodeID, sessions)
-	ids := make([]trace.MessageID, sessions*rounds)
-	for s := 0; s < sessions; s++ {
-		// Cancellation checkpoints ride the same 64-session granule as the
-		// sampling backends' batch loops; a canceled run abandons the
-		// kernel mid-traffic and the deferred Close tears it down.
-		if s%sessionBatchSize == 0 {
-			if err := cfg.checkCanceled(); err != nil {
-				return Result{}, err
-			}
-		}
-		rng := stats.NewStream(cfg.Workload.Seed, int64(s))
-		sender := cfg.Workload.Sender
-		if !cfg.Workload.FixedSender {
-			sender = trace.NodeID(rng.Intn(cfg.N))
-		}
-		senders[s] = sender
-		for r := 0; r < rounds; r++ {
-			path, err := sp.SelectPath(&rng, sender)
-			if err != nil {
-				return Result{}, err
-			}
-			var id trace.MessageID
-			if cfg.Protocol == ProtocolOnion && len(path) > 0 {
-				blob, err := onion.Build(ring, path, nil, cryptorand.Reader)
-				if err != nil {
-					return Result{}, err
-				}
-				id, err = nw.Inject(sender, path[0], simnet.Packet{Onion: blob})
-				if err != nil {
-					return Result{}, err
-				}
-			} else {
-				id, err = nw.SendRoute(sender, path, nil)
-				if err != nil {
-					return Result{}, err
-				}
-			}
-			ids[s*rounds+r] = id
-		}
-	}
-	goroutines := max(runtime.NumGoroutine()-baseGoroutines, 0)
-	if err := nw.WaitSettled(settleTimeout); err != nil {
-		return Result{}, err
-	}
-	elapsed := time.Since(start)
-	if drops := nw.Dropped(); len(drops) > 0 {
-		return Result{}, fmt.Errorf("scenario: testbed dropped %d packets: %w", len(drops), drops[0])
-	}
-
-	traces := trace.Collate(nw.Tuples())
-	res, err := analyzeRouted(cfg, analyst, traces, senders, ids)
-	if err != nil {
-		return Result{}, err
-	}
-	res.MaxH = entropy.Max(cfg.N)
-	res.Normalized = entropy.Normalized(res.H, cfg.N)
-	res.Kernel = kernelStats(nw, goroutines, elapsed)
-	return res, nil
+// routedTraffic records what a routed run injected, slot by slot: one slot
+// per message (phase-major) in a Messages run, one per session in a Rounds
+// run.
+type routedTraffic struct {
+	senders []trace.NodeID
+	// ids holds each message's final attempt, or session s's round r at
+	// s*k+r.
+	ids []trace.MessageID
+	// PolicyReroute only: the slot each attempt belongs to, each slot's
+	// failed attempts, and the number of re-injections.
+	origin     map[trace.MessageID]int
+	failed     map[int][]trace.MessageID
+	reinjected int
 }
 
-// analyzeRouted runs the adversary over the collected traces, session by
-// session in injection order — a fixed order, so the empirical estimate is
-// bit-reproducible for a fixed seed (ranging over the collated map would
-// reassociate the floating-point mean run to run). Single-shot sessions
-// use the O(reports) entropy fast path; multi-round sessions accumulate
-// full posteriors, which costs O(N) per message.
-func analyzeRouted(cfg Config, analyst *adversary.Analyst,
-	traces map[trace.MessageID]*trace.MessageTrace, senders []trace.NodeID,
-	ids []trace.MessageID) (Result, error) {
-	sessions := len(senders)
-	rounds := cfg.Workload.Rounds
-	conf := cfg.Workload.Confidence
-	degradation := cfg.Workload.degradation()
-
-	var sum stats.Summary
-	var compSenders, deanonymized, idCount, idRounds int
-	var hSums []float64
-	var sc adversary.Scratch
-	var acc *adversary.Accumulator
-	if degradation {
-		hSums = make([]float64, rounds)
-		var err error
-		if acc, err = adversary.NewAccumulator(analyst); err != nil {
-			return Result{}, err
-		}
+// staticPhases returns the single phase a static config runs as: the
+// identity membership 0..N−1 with the configured adversary, carrying the
+// whole workload — as Rounds when the workload tracks degradation, as
+// Messages otherwise.
+func staticPhases(cfg Config) ([]phase, error) {
+	ep := Epoch{Messages: cfg.Workload.Messages}
+	if cfg.Workload.degradation() {
+		ep = Epoch{Rounds: cfg.Workload.Rounds}
 	}
-	for s := 0; s < sessions; s++ {
-		sender := senders[s]
-		if analyst.Compromised(sender) {
-			// Local-eavesdropper branch: the adversary's agent at the
-			// sender identifies it outright at its first message.
-			sum.Add(0)
-			compSenders++
-			deanonymized++
-			if conf > 0 {
-				idCount++
-				idRounds++
-			}
-			continue
-		}
-		if !degradation {
-			mt := traces[ids[s]]
-			if mt == nil {
-				return Result{}, fmt.Errorf("scenario: message %d has no trace", ids[s])
-			}
-			h, err := analyst.EntropyScratch(mt, &sc)
-			if err != nil {
-				return Result{}, fmt.Errorf("scenario: message %d: %w", ids[s], err)
-			}
-			if h < 1e-9 {
-				deanonymized++
-			}
-			sum.Add(h)
-			continue
-		}
-		acc.Reset()
-		identifiedAt := 0
-		final := 0.0
-		for r := 0; r < rounds; r++ {
-			id := ids[s*rounds+r]
-			mt := traces[id]
-			if mt == nil {
-				return Result{}, fmt.Errorf("scenario: message %d has no trace", id)
-			}
-			if err := acc.ObserveScratch(mt, &sc); err != nil {
-				return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
-			}
-			h, top, mass, err := acc.SnapshotFast()
-			if err != nil {
-				return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
-			}
-			hSums[r] += h
-			final = h
-			if identifiedAt == 0 && conf > 0 && top == sender && mass >= conf {
-				identifiedAt = r + 1
-			}
-		}
-		sum.Add(final)
-		if final < 1e-9 {
-			deanonymized++
-		}
-		if identifiedAt > 0 {
-			idCount++
-			idRounds += identifiedAt
-		}
-	}
-	if sum.N() != sessions {
-		return Result{}, fmt.Errorf("scenario: analyzed %d of %d sessions", sum.N(), sessions)
-	}
-	for r := range hSums {
-		hSums[r] /= float64(sessions)
-	}
-	res := Result{
-		H:                      sum.Mean(),
-		StdErr:                 sum.StdErr(),
-		CI95:                   sum.CI95(),
-		Estimated:              true,
-		Trials:                 sum.N(),
-		CompromisedSenderShare: float64(compSenders) / float64(sum.N()),
-		Deanonymized:           deanonymized,
-		HRounds:                hSums,
-	}
-	if conf > 0 {
-		res.IdentifiedShare = float64(idCount) / float64(sessions)
-		if idCount > 0 {
-			res.MeanRoundsToIdentify = float64(idRounds) / float64(idCount)
-		}
-	}
-	return res, nil
+	return computePhases(cfg.N, compromiseRuns(cfg.Adversary.Compromised), []Epoch{ep})
 }
 
-// runRoutedTimeline executes a dynamic-population scenario on the routed
-// substrates. The membership schedule becomes kernel-level churn events at
-// precomputed virtual timestamps: each phase gets a disjoint logical-time
-// window wide enough for its traffic (injection count plus the worst-case
-// path depth), the kernel's per-(node,time) state machine applies the
+// runRoutedPhases executes a scenario on the routed substrates. The
+// membership schedule becomes kernel-level churn events at precomputed
+// virtual timestamps: each phase gets a disjoint logical-time window wide
+// enough for its traffic (injection count plus the worst-case path depth),
+// the kernel's per-(node,time) state machine applies the
 // joins/leaves/compromises on the boundaries, and path selection draws
 // from the phase's live membership only. Between phases the network
 // settles (flushing partial threshold-mix batches — the mix "fires on
 // timeout" at the phase end) and the injection clock advances past the
 // boundary, so every message's observations fall entirely inside one
 // phase and are analyzed with that phase's adversary.
-func runRoutedTimeline(cfg Config) (Result, error) {
+func runRoutedPhases(cfg Config) (Result, error) {
+	static := len(cfg.phases) == 0
+	if static {
+		var err error
+		if cfg.phases, err = staticPhases(cfg); err != nil {
+			return Result{}, err
+		}
+	}
 	analysts, sels, err := phasedMachinery(cfg, string(BackendTestbed))
 	if err != nil {
 		return Result{}, err
@@ -346,6 +140,7 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 	totalIDs := unionSize(cfg.N, cfg.Timeline)
 	rounds := timelineRounds(phases)
 	sessions := cfg.Workload.Messages
+	k := cfg.Workload.Rounds
 
 	// Phase windows: wide enough that every event of phase e has a logical
 	// time below T[e+1] (injections advance the clock by one each; every
@@ -353,14 +148,13 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 	// phase's running maximum — fault-plan jitter and the retransmit
 	// backoff budget included, see phaseSpan — and a path has at most hi+2
 	// such steps).
-	span := func(m int) uint64 { return phaseSpan(&cfg, m) }
 	T := make([]uint64, len(phases)+1)
 	for e := range phases {
 		m := phases[e].epoch.Messages
 		if rounds {
 			m = sessions * phases[e].epoch.Rounds
 		}
-		T[e+1] = T[e] + span(m)
+		T[e+1] = T[e] + phaseSpan(&cfg, m)
 	}
 
 	down, churn := churnSchedule(phases, totalIDs, T)
@@ -391,7 +185,11 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 		if nwCfg.BatchThreshold < 2 {
 			nwCfg.BatchThreshold = defaultMixBatch
 		}
-		nwCfg.Shards = 1 // bit-reproducible batch composition (see runRouted)
+		// Batch composition follows arrival order, which is scheduling-
+		// dependent across shards; one shard keeps mix scenarios
+		// bit-reproducible for a fixed seed (plain/onion runs stay
+		// parallel — their analysis is order-independent).
+		nwCfg.Shards = 1
 	}
 	baseGoroutines := runtime.NumGoroutine()
 	nw, err := simnet.New(nwCfg)
@@ -402,15 +200,25 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 	defer nw.Close()
 
 	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
-	// Per-phase samplers over the dense spaces; drawPhasePath maps the
-	// reusable dense buffer to a fresh union-identity route.
+	// Per-phase samplers over the dense spaces; drawPhasePath maps their
+	// draws to union-identity routes.
 	samplers := make([]*pathsel.Sampler, len(sels))
 	for i := range sels {
 		if samplers[i], err = sels[i].NewSampler(); err != nil {
 			return Result{}, err
 		}
 	}
+	injected := 0
 	inject := func(e int, rng *stats.Stream, sender trace.NodeID) (trace.MessageID, error) {
+		// Cancellation checkpoints ride the sampling backends' 64-session
+		// granule, in both modes; a canceled run abandons the kernel
+		// mid-traffic and the deferred Close tears it down.
+		if injected%sessionBatchSize == 0 {
+			if err := cfg.checkCanceled(); err != nil {
+				return 0, err
+			}
+		}
+		injected++
 		path, err := drawPhasePath(&phases[e], samplers[e], rng, sender)
 		if err != nil {
 			return 0, err
@@ -425,36 +233,38 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 		return nw.SendRoute(sender, path, nil)
 	}
 
+	// One counter-based stream per slot — the streams the Monte-Carlo
+	// backend consumes per trial or session, so backend agreement is
+	// draw-for-draw — and a rerouted message redraws from its own stream,
+	// whichever messages fail and in whatever order the waves return them.
 	var (
-		k             = cfg.Workload.Rounds
-		senders       []trace.NodeID    // rounds mode: one per session
-		strs          []stats.Stream    // rounds mode: one per session
-		ids           []trace.MessageID // rounds mode: session-major [s*k+r]
-		phaseSenders  [][]trace.NodeID  // messages mode
-		phaseIDs      [][]trace.MessageID
+		tr            routedTraffic
+		strs          []stats.Stream
 		maxGoroutines int
 	)
 	if rounds {
-		// One counter-based stream per session — the same streams the
-		// Monte-Carlo timeline consumes — so every session's sender and
-		// path draws are independent of the phase-major injection order.
-		senders = make([]trace.NodeID, sessions)
+		tr.senders = make([]trace.NodeID, sessions)
+		tr.ids = make([]trace.MessageID, sessions*k)
 		strs = make([]stats.Stream, sessions)
-		ids = make([]trace.MessageID, sessions*k)
 		pool := senderPool(phases)
-		for s := range senders {
+		for s := range tr.senders {
 			strs[s] = stats.NewStream(cfg.Workload.Seed, int64(s))
 			if cfg.Workload.FixedSender {
-				senders[s] = cfg.Workload.Sender
+				tr.senders[s] = cfg.Workload.Sender
 			} else {
-				senders[s] = pool.at(strs[s].Intn(pool.len()))
+				tr.senders[s] = pool.at(strs[s].Intn(pool.len()))
 			}
 		}
 	} else {
-		phaseSenders = make([][]trace.NodeID, len(phases))
-		phaseIDs = make([][]trace.MessageID, len(phases))
+		tr.senders = make([]trace.NodeID, cfg.Workload.Messages)
+		tr.ids = make([]trace.MessageID, cfg.Workload.Messages)
+		strs = make([]stats.Stream, cfg.Workload.Messages)
 	}
-	r := 0
+	if cfg.Faults != nil && cfg.Reliability.Policy == faults.PolicyReroute {
+		tr.origin = make(map[trace.MessageID]int, len(tr.ids))
+		tr.failed = make(map[int][]trace.MessageID)
+	}
+	r, i := 0, 0 // rounds mode: global round; messages mode: slot
 	for e := range phases {
 		p := &phases[e]
 		if e > 0 {
@@ -462,78 +272,63 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 		}
 		if rounds {
 			for j := 0; j < p.epoch.Rounds; j++ {
-				// One checkpoint per round wave (sessions injections).
-				if err := cfg.checkCanceled(); err != nil {
-					return Result{}, err
-				}
 				for s := 0; s < sessions; s++ {
-					id, err := inject(e, &strs[s], senders[s])
+					id, err := inject(e, &strs[s], tr.senders[s])
 					if err != nil {
 						return Result{}, err
 					}
-					ids[s*k+r] = id
+					tr.ids[s*k+r] = id
 				}
 				r++
 			}
 		} else {
-			for m := 0; m < p.epoch.Messages; m++ {
-				if m%sessionBatchSize == 0 {
-					if err := cfg.checkCanceled(); err != nil {
-						return Result{}, err
-					}
-				}
-				// Messages mode: each message draws from its own stream
-				// under the phase's derived seed, matching the per-phase
-				// sub-runs of the Monte-Carlo timeline.
-				rng := stats.NewStream(phaseSeed(cfg.Workload.Seed, e), int64(m))
+			// Messages mode: a timeline's messages draw under the phase's
+			// derived seed, matching the per-phase sub-runs of the
+			// Monte-Carlo timeline; a static run keeps Workload.Seed.
+			seed := cfg.Workload.Seed
+			if !static {
+				seed = phaseSeed(seed, e)
+			}
+			for m := 0; m < p.epoch.Messages; m, i = m+1, i+1 {
+				strs[i] = stats.NewStream(seed, int64(m))
 				sender := cfg.Workload.Sender
 				if !cfg.Workload.FixedSender {
-					sender = p.live.at(rng.Intn(p.n()))
+					sender = p.live.at(strs[i].Intn(p.n()))
 				}
-				id, err := inject(e, &rng, sender)
+				id, err := inject(e, &strs[i], sender)
 				if err != nil {
 					return Result{}, err
 				}
-				phaseSenders[e] = append(phaseSenders[e], sender)
-				phaseIDs[e] = append(phaseIDs[e], id)
+				tr.senders[i], tr.ids[i] = sender, id
+				if tr.origin != nil {
+					tr.origin[id] = i
+				}
 			}
 		}
 		maxGoroutines = max(maxGoroutines, runtime.NumGoroutine()-baseGoroutines)
 		if err := nw.Settle(settleTimeout); err != nil {
 			return Result{}, err
 		}
+		if tr.origin != nil {
+			// normalizeFaults confines rerouting to static runs, so the
+			// waves never straddle a phase boundary.
+			err := tr.rerouteWaves(&cfg, nw, func(i int) (trace.MessageID, error) {
+				return inject(e, &strs[i], tr.senders[i])
+			})
+			if err != nil {
+				return Result{}, err
+			}
+		}
 	}
 	elapsed := time.Since(start)
-	var fa *faultAnalysis
-	if cfg.Faults == nil {
-		if drops := nw.Dropped(); len(drops) > 0 {
-			return Result{}, fmt.Errorf("scenario: testbed dropped %d packets: %w", len(drops), drops[0])
-		}
-	} else {
-		// Loss and crash drops are the configured fault process; anything
-		// else is still a defect.
-		if err := checkUnexpectedDrops(nw); err != nil {
-			return Result{}, err
-		}
-		if fa, err = newTimelineFaultAnalysis(cfg, nw); err != nil {
-			return Result{}, err
-		}
-	}
-	traces := trace.Collate(nw.Tuples())
-
-	maxH := timelineMaxH(phases)
-	var res Result
-	if rounds {
-		res, err = analyzeRoutedTimeline(cfg, analysts, traces, senders, ids)
-	} else {
-		res, err = analyzeSingleShotTimeline(cfg, analysts, traces, phaseSenders, phaseIDs, fa)
-	}
+	res, err := analyzeTraffic(cfg, analysts, nw, &tr)
 	if err != nil {
 		return Result{}, err
 	}
-	res.MaxH = maxH
-	res.Normalized = res.H / maxH
-	res.Kernel = kernelStats(nw, max(maxGoroutines, 0), elapsed)
+	if static {
+		res.Epochs = nil
+	}
+	res.Kernel = kernelStats(nw, maxGoroutines, elapsed)
 	return res, nil
 }
 
@@ -568,24 +363,65 @@ func churnSchedule(phases []phase, totalIDs int, T []uint64) ([]trace.NodeID, []
 	return down, churn
 }
 
-// analyzeSingleShotTimeline measures a Messages timeline: every phase's
-// traffic is analyzed with that phase's adversary in its dense space, in
-// injection order for bit-reproducibility, and the phases blend into the
-// pooled empirical mean. A non-nil faultAnalysis restricts H to delivered
-// messages and folds the retransmission evidence into HDegraded, exactly
-// as the static faulted path does (see runRoutedFaulty).
-func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
-	traces map[trace.MessageID]*trace.MessageTrace,
-	phaseSenders [][]trace.NodeID, phaseIDs [][]trace.MessageID,
+// analyzeTraffic runs the adversary over a settled routed run: it checks
+// the kernel's drops, snapshots the fault evidence, and folds the
+// collected traces slot by slot in injection order — a fixed order, so the
+// empirical estimate is bit-reproducible for a fixed seed (ranging over
+// the collated map would reassociate the floating-point mean run to run).
+// Messages runs take the O(reports) entropy fast path per message; Rounds
+// runs accumulate full posteriors, which costs O(N) per message.
+func analyzeTraffic(cfg Config, analysts []*adversary.Analyst, nw *simnet.Network,
+	tr *routedTraffic) (Result, error) {
+	var fa *faultAnalysis
+	if cfg.Faults == nil {
+		if drops := nw.Dropped(); len(drops) > 0 {
+			return Result{}, fmt.Errorf("scenario: testbed dropped %d packets: %w", len(drops), drops[0])
+		}
+	} else {
+		// Loss and crash drops are the configured fault process; anything
+		// else is still a defect.
+		if err := checkUnexpectedDrops(nw); err != nil {
+			return Result{}, err
+		}
+		var err error
+		if fa, err = newFaultAnalysis(cfg, nw, tr.reinjected); err != nil {
+			return Result{}, err
+		}
+	}
+	traces := trace.Collate(nw.Tuples())
+	var res Result
+	var err error
+	if timelineRounds(cfg.phases) {
+		res, err = foldSessions(cfg, analysts, traces, tr)
+	} else {
+		res, err = foldMessages(cfg, analysts, traces, tr, fa)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	// A single identity phase weighs 1, so a static run's MaxH is
+	// log2(N) = entropy.Max(N), bit for bit.
+	res.MaxH = timelineMaxH(cfg.phases)
+	res.Normalized = res.H / res.MaxH
+	return res, nil
+}
+
+// foldMessages measures a Messages run: every phase's traffic is analyzed
+// with that phase's adversary in its dense space, and the phases blend
+// into the pooled empirical mean. A non-nil faultAnalysis restricts H to
+// delivered messages and folds the evidence of failed rerouting attempts
+// and retransmissions into HDegraded.
+func foldMessages(cfg Config, analysts []*adversary.Analyst,
+	traces map[trace.MessageID]*trace.MessageTrace, tr *routedTraffic,
 	fa *faultAnalysis) (Result, error) {
 	var (
 		sum, sumDeg  stats.Summary
-		injected     int
 		compSenders  int
 		deanonymized int
 		epochs       []EpochResult
 		sc           adversary.Scratch
 		partials     []*trace.MessageTrace
+		i            int
 	)
 	for e := range cfg.phases {
 		p := &cfg.phases[e]
@@ -597,13 +433,14 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 				return Result{}, err
 			}
 		}
-		for m, sender := range phaseSenders[e] {
-			injected++
-			id := phaseIDs[e][m]
+		for end := i + p.epoch.Messages; i < end; i++ {
+			sender, id := tr.senders[i], tr.ids[i]
 			if fa != nil && !fa.delivered[id] {
 				continue // undelivered: excluded from H, counted in delivery stats
 			}
 			if p.comp.has(sender) {
+				// Local-eavesdropper branch: the adversary's agent at the
+				// sender identifies it outright.
 				sum.Add(0)
 				pSum.Add(0)
 				sumDeg.Add(0)
@@ -631,16 +468,8 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 			if fa == nil {
 				continue
 			}
-			// Degraded fold: each retransmission the kernel logged for this
-			// message leaked the delivered trace's prefix up to the retrying
-			// observer, analyzed in the phase's dense space.
-			partials = partials[:0]
-			for _, rt := range fa.retries[id] {
-				do, ok := p.live.rankOf(rt.Observer)
-				if !ok {
-					continue
-				}
-				partials = append(partials, truncateAtObserver(dmt, trace.NodeID(do)))
+			if partials, err = leakedPartials(p, traces, tr.failed[i], fa.retries[id], dmt, partials[:0]); err != nil {
+				return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
 			}
 			if len(partials) == 0 {
 				sumDeg.Add(h)
@@ -671,8 +500,8 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 		res.CompromisedSenderShare = float64(compSenders) / float64(sum.N())
 	}
 	if fa != nil {
-		res.DeliveryRate = float64(sum.N()) / float64(injected)
-		res.MeanAttempts = fa.meanAttempts(injected)
+		res.DeliveryRate = float64(sum.N()) / float64(len(tr.ids))
+		res.MeanAttempts = fa.meanAttempts(len(tr.ids))
 		if sumDeg.N() > 0 {
 			res.HDegraded = sumDeg.Mean()
 		}
@@ -680,16 +509,15 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 	return res, nil
 }
 
-// analyzeRoutedTimeline folds a Rounds timeline's collected traces through
-// the union-space accumulator, session by session in injection order — the
-// empirical counterpart of runPhasedRounds.
-func analyzeRoutedTimeline(cfg Config, analysts []*adversary.Analyst,
-	traces map[trace.MessageID]*trace.MessageTrace,
-	senders []trace.NodeID, ids []trace.MessageID) (Result, error) {
+// foldSessions folds a Rounds run's collected traces through the
+// union-space accumulator, session by session — the empirical counterpart
+// of runPhasedRounds.
+func foldSessions(cfg Config, analysts []*adversary.Analyst,
+	traces map[trace.MessageID]*trace.MessageTrace, tr *routedTraffic) (Result, error) {
 	var (
 		phases     = cfg.phases
 		totalIDs   = unionSize(cfg.N, cfg.Timeline)
-		sessions   = len(senders)
+		sessions   = len(tr.senders)
 		k          = cfg.Workload.Rounds
 		conf       = cfg.Workload.Confidence
 		first      = firstTrafficPhase(phases)
@@ -709,7 +537,7 @@ func analyzeRoutedTimeline(cfg Config, analysts []*adversary.Analyst,
 	lives := roundLives(phases)
 	s := 0
 	draw := func(pi, r int, _ trace.NodeID) (*trace.MessageTrace, error) {
-		id := ids[s*k+r]
+		id := tr.ids[s*k+r]
 		mt := traces[id]
 		if mt == nil {
 			return nil, fmt.Errorf("scenario: message %d has no trace", id)
@@ -717,7 +545,7 @@ func analyzeRoutedTimeline(cfg Config, analysts []*adversary.Analyst,
 		return phases[pi].denseTrace(mt)
 	}
 	for s = 0; s < sessions; s++ {
-		sender := senders[s]
+		sender := tr.senders[s]
 		identifiedAt, err := phasedSession(phases, lives, analysts, pa, &sc, entropies, sender, conf, draw)
 		if err != nil {
 			return Result{}, err

@@ -2,37 +2,30 @@ package scenario
 
 // Fault-injected testbed execution. The kernel does the dropping,
 // retransmitting, and crash handling (simnet with a faults.Plan wired into
-// its config); this file owns the driver and the analysis on top:
+// its config by faultNetConfig); runRoutedPhases drives the traffic, and
+// this file owns what faults add on top of it:
 //
-//   - PolicyReroute's wave loop: settle, drain the kernel's failure
-//     handoffs (TakeFailed), re-inject each failed message from its
-//     original sender over a freshly drawn path, and repeat until
-//     everything delivered or the attempt budget is spent.
-//   - The two-faced measurement: H over delivered messages (the quantity
-//     the exact backend computes via the effective-delivery length
-//     distribution) next to the retry-degraded HDegraded, which folds the
-//     evidence every retransmission and failed attempt leaked to
-//     compromised observers — partial traces analyzed under the
-//     uncompromised-receiver model, since a failed attempt never produced
-//     a receiver report.
+//   - PolicyReroute's wave loop (rerouteWaves): after a phase settles,
+//     drain the kernel's failure handoffs (TakeFailed), re-inject each
+//     failed message from its original sender over a freshly drawn path,
+//     and repeat until everything delivered or the attempt budget is
+//     spent. normalizeFaults confines rerouting to static runs, so the
+//     waves only ever follow the one phase.
+//   - The two-faced measurement foldMessages takes: H over delivered
+//     messages (the quantity the exact backend computes via the
+//     effective-delivery length distribution) next to the retry-degraded
+//     HDegraded, which folds the evidence every retransmission and failed
+//     attempt leaked to compromised observers — partial traces analyzed
+//     under the uncompromised-receiver model, since a failed attempt never
+//     produced a receiver report.
 
 import (
-	cryptorand "crypto/rand"
-	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"anonmix/internal/adversary"
-	"anonmix/internal/entropy"
 	"anonmix/internal/events"
-	"anonmix/internal/faults"
-	"anonmix/internal/onion"
-	"anonmix/internal/pathsel"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/simnet"
-	"anonmix/internal/stats"
 	"anonmix/internal/trace"
 )
 
@@ -139,295 +132,114 @@ func foldDegraded(acc *adversary.Accumulator, analystU *adversary.Analyst,
 	return h, err
 }
 
-// runRoutedFaulty executes a fault-injected single-shot scenario on the
-// routed substrates (plain, onion, mix).
-func runRoutedFaulty(cfg Config) (Result, error) {
-	engine, err := Engine(cfg.N, len(cfg.Adversary.Compromised), engineOptions(cfg)...)
-	if err != nil {
-		return Result{}, err
-	}
-	if engine.Mode() != events.InferenceStandard {
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrInference, engine.Mode().String())
-	}
-	if !engine.SenderSelfReport() {
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrInference, "no-sender-self-report ablation is exact-only")
-	}
-	analyst, err := adversary.NewAnalyst(engine, cfg.Strategy.Length, cfg.Adversary.Compromised)
-	if err != nil {
-		return Result{}, err
-	}
-	uOpts := append(engineOptions(cfg), events.WithUncompromisedReceiver())
-	engineU, err := Engine(cfg.N, len(cfg.Adversary.Compromised), uOpts...)
-	if err != nil {
-		return Result{}, err
-	}
-	analystU, err := adversary.NewAnalyst(engineU, cfg.Strategy.Length, cfg.Adversary.Compromised)
-	if err != nil {
-		return Result{}, err
-	}
-	sel, err := pathsel.NewSelector(cfg.N, cfg.Strategy)
-	if err != nil {
-		return Result{}, err
-	}
-
-	nwCfg := simnet.Config{
-		N:           cfg.N,
-		Compromised: cfg.Adversary.Compromised,
-		Seed:        cfg.Workload.Seed,
-		MaxHopDelay: cfg.Workload.MaxHopDelay,
-	}
-	faultNetConfig(&nwCfg, &cfg)
-	var ring *onion.KeyRing
-	if cfg.Protocol == ProtocolOnion {
-		var secret [8]byte
-		binary.LittleEndian.PutUint64(secret[:], uint64(cfg.Workload.Seed)+0x517cc1b727220a95)
-		if ring, err = onion.NewKeyRing(secret[:], cfg.N); err != nil {
-			return Result{}, err
+// rerouteWaves runs PolicyReroute's waves once the injected traffic has
+// settled: each failed message retries end to end from its original
+// sender over a fresh path (retry re-injects slot i from the slot's own
+// stream). TakeFailed returns message-sorted batches, so the waves' path
+// draws — and with them the whole run — are deterministic under any shard
+// interleaving.
+func (tr *routedTraffic) rerouteWaves(cfg *Config, nw *simnet.Network,
+	retry func(i int) (trace.MessageID, error)) error {
+	for {
+		// One checkpoint per rerouting wave.
+		if err := cfg.checkCanceled(); err != nil {
+			return err
 		}
-		fwd, err := onion.NewForwarder(ring)
-		if err != nil {
-			return Result{}, err
-		}
-		nwCfg.Forwarder = fwd
-	}
-	if cfg.Protocol == ProtocolMix {
-		nwCfg.BatchThreshold = cfg.Workload.BatchThreshold
-		if nwCfg.BatchThreshold < 2 {
-			nwCfg.BatchThreshold = defaultMixBatch
-		}
-		nwCfg.Shards = 1 // bit-reproducible batch composition (see runRouted)
-	}
-	baseGoroutines := runtime.NumGoroutine()
-	nw, err := simnet.New(nwCfg)
-	if err != nil {
-		return Result{}, err
-	}
-	nw.Start()
-	defer nw.Close()
-
-	inject := func(sender trace.NodeID, path []trace.NodeID) (trace.MessageID, error) {
-		if cfg.Protocol == ProtocolOnion && len(path) > 0 {
-			blob, err := onion.Build(ring, path, nil, cryptorand.Reader)
+		reinjected := false
+		for _, f := range nw.TakeFailed() {
+			i, ok := tr.origin[f.Msg]
+			if !ok {
+				return fmt.Errorf("scenario: kernel handed back unknown message %d", f.Msg)
+			}
+			// Every attempt so far failed, this one included.
+			tr.failed[i] = append(tr.failed[i], f.Msg)
+			if len(tr.failed[i]) >= cfg.Reliability.MaxAttempts {
+				continue // budget spent: the message stays undelivered
+			}
+			id, err := retry(i)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return nw.Inject(sender, path[0], simnet.Packet{Onion: blob})
+			tr.ids[i] = id
+			tr.origin[id] = i
+			tr.reinjected++
+			reinjected = true
 		}
-		return nw.SendRoute(sender, path, nil)
-	}
-
-	sessions := cfg.Workload.Messages
-	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
-	// One counter-based stream per session, so a reroute wave's redraws
-	// come from the failed session's own stream — deterministic regardless
-	// of which sessions fail or in what order the waves return them. The
-	// sampler's path buffer is reused: SendRoute copies the route and
-	// onion.Build consumes it synchronously.
-	sp, err := sel.NewSampler()
-	if err != nil {
-		return Result{}, err
-	}
-	var (
-		senders  = make([]trace.NodeID, sessions)
-		strs     = make([]stats.Stream, sessions)
-		lastID   = make([]trace.MessageID, sessions)
-		attempts = make([]int, sessions)
-		failed   = make([][]trace.MessageID, sessions)
-		originOf = make(map[trace.MessageID]int, sessions)
-	)
-	for s := 0; s < sessions; s++ {
-		if s%sessionBatchSize == 0 {
-			if err := cfg.checkCanceled(); err != nil {
-				return Result{}, err
-			}
+		if !reinjected {
+			return nil
 		}
-		strs[s] = stats.NewStream(cfg.Workload.Seed, int64(s))
-		sender := cfg.Workload.Sender
-		if !cfg.Workload.FixedSender {
-			sender = trace.NodeID(strs[s].Intn(cfg.N))
-		}
-		path, err := sp.SelectPath(&strs[s], sender)
-		if err != nil {
-			return Result{}, err
-		}
-		id, err := inject(sender, path)
-		if err != nil {
-			return Result{}, err
-		}
-		senders[s], lastID[s], attempts[s] = sender, id, 1
-		originOf[id] = s
-	}
-	goroutines := max(runtime.NumGoroutine()-baseGoroutines, 0)
-	if err := nw.Settle(settleTimeout); err != nil {
-		return Result{}, err
-	}
-
-	if cfg.Reliability.Policy == faults.PolicyReroute {
-		// Rerouting waves: each failed message retries end to end from its
-		// original sender over a fresh path drawn from the live selector.
-		// TakeFailed returns message-sorted batches, so the wave's path
-		// draws — and with them the whole run — are deterministic under any
-		// shard interleaving.
-		for {
-			// One checkpoint per rerouting wave.
-			if err := cfg.checkCanceled(); err != nil {
-				return Result{}, err
-			}
-			reinjected := false
-			for _, f := range nw.TakeFailed() {
-				s, ok := originOf[f.Msg]
-				if !ok {
-					return Result{}, fmt.Errorf("scenario: kernel handed back unknown message %d", f.Msg)
-				}
-				failed[s] = append(failed[s], f.Msg)
-				if attempts[s] >= cfg.Reliability.MaxAttempts {
-					continue // budget spent: the message stays undelivered
-				}
-				path, err := sp.SelectPath(&strs[s], senders[s])
-				if err != nil {
-					return Result{}, err
-				}
-				id, err := inject(senders[s], path)
-				if err != nil {
-					return Result{}, err
-				}
-				attempts[s]++
-				lastID[s] = id
-				originOf[id] = s
-				reinjected = true
-			}
-			if !reinjected {
-				break
-			}
-			if err := nw.Settle(settleTimeout); err != nil {
-				return Result{}, err
-			}
+		if err := nw.Settle(settleTimeout); err != nil {
+			return err
 		}
 	}
-	elapsed := time.Since(start)
-	if err := checkUnexpectedDrops(nw); err != nil {
-		return Result{}, err
-	}
-
-	deliveredSet := make(map[trace.MessageID]bool)
-	for _, d := range nw.Deliveries() {
-		deliveredSet[d.Msg] = true
-	}
-	traces := trace.Collate(nw.Tuples())
-	retryByMsg := sortedRetryObservations(nw)
-
-	acc, err := adversary.NewAccumulator(analyst)
-	if err != nil {
-		return Result{}, err
-	}
-	var (
-		sum, sumDeg stats.Summary
-		comp        int
-		deanon      int
-		sc          adversary.Scratch
-		partials    []*trace.MessageTrace
-	)
-	for s := 0; s < sessions; s++ {
-		id := lastID[s]
-		if !deliveredSet[id] {
-			continue // undelivered: no receiver-side event, excluded from H
-		}
-		sender := senders[s]
-		if analyst.Compromised(sender) {
-			sum.Add(0)
-			sumDeg.Add(0)
-			comp++
-			deanon++
-			continue
-		}
-		mt := traces[id]
-		if mt == nil {
-			return Result{}, fmt.Errorf("scenario: message %d has no trace", id)
-		}
-		h, err := analyst.EntropyScratch(mt, &sc)
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
-		}
-		if h < 1e-9 {
-			deanon++
-		}
-		sum.Add(h)
-		partials = partials[:0]
-		for _, fid := range failed[s] {
-			pmt := traces[fid]
-			if pmt == nil {
-				// The attempt was lost on the first link: no compromised
-				// node processed it, and the adversary holds an empty trace.
-				pmt = &trace.MessageTrace{Msg: fid}
-			}
-			partials = append(partials, pmt)
-		}
-		for _, rt := range retryByMsg[id] {
-			partials = append(partials, truncateAtObserver(mt, rt.Observer))
-		}
-		if len(partials) == 0 {
-			sumDeg.Add(h)
-			continue
-		}
-		hd, err := foldDegraded(acc, analystU, mt, partials, &sc)
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario: message %d degraded fold: %w", id, err)
-		}
-		sumDeg.Add(hd)
-	}
-
-	res := Result{
-		Estimated:    true,
-		Trials:       sum.N(),
-		Deanonymized: deanon,
-		MaxH:         entropy.Max(cfg.N),
-		DeliveryRate: float64(sum.N()) / float64(sessions),
-		MeanAttempts: meanAttempts(cfg, nw, attempts, sessions),
-		Kernel:       kernelStats(nw, goroutines, elapsed),
-	}
-	if sum.N() > 0 {
-		res.H = sum.Mean()
-		res.StdErr = sum.StdErr()
-		res.CI95 = sum.CI95()
-		res.HDegraded = sumDeg.Mean()
-		res.CompromisedSenderShare = float64(comp) / float64(sum.N())
-	}
-	res.Normalized = entropy.Normalized(res.H, cfg.N)
-	return res, nil
 }
 
-// faultAnalysis carries the kernel-side fault evidence a timeline
+// leakedPartials appends to out, in the phase's dense space, the partial
+// traces a delivered message's retries leaked: first each failed
+// rerouting attempt's trace, then the delivered trace dmt truncated at
+// every observer the kernel logged retransmitting it.
+func leakedPartials(p *phase, traces map[trace.MessageID]*trace.MessageTrace,
+	failed []trace.MessageID, retries []trace.Tuple, dmt *trace.MessageTrace,
+	out []*trace.MessageTrace) ([]*trace.MessageTrace, error) {
+	for _, fid := range failed {
+		pmt := traces[fid]
+		if pmt == nil {
+			// The attempt was lost on the first link: no compromised node
+			// processed it, and the adversary holds an empty trace.
+			pmt = &trace.MessageTrace{Msg: fid}
+		}
+		pmt, err := p.denseTrace(pmt)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pmt)
+	}
+	for _, rt := range retries {
+		if do, ok := p.live.rankOf(rt.Observer); ok {
+			out = append(out, truncateAtObserver(dmt, trace.NodeID(do)))
+		}
+	}
+	return out, nil
+}
+
+// faultAnalysis carries the kernel-side fault evidence a faulted run's
 // analysis needs: which messages delivered, which retransmissions leaked
-// to compromised observers, and the per-phase uncompromised-receiver
-// analysts the degraded folds run through. Timeline faults are restricted
-// to PolicyNone and PolicyRetransmit (normalizeFaults rejects reroute +
-// timeline: a rerouting wave could straddle a phase boundary).
+// to compromised observers, the per-phase uncompromised-receiver analysts
+// the degraded folds run through, and the extra attempts the delivery
+// policy spent.
 type faultAnalysis struct {
 	delivered map[trace.MessageID]bool
 	retries   map[trace.MessageID][]trace.Tuple
 	analystsU []*adversary.Analyst
-	retryN    uint64
+	// retryN counts the kernel's link-level retransmissions
+	// (PolicyRetransmit); reinjected the end-to-end re-injections
+	// (PolicyReroute). Both are 0 under PolicyNone.
+	retryN     uint64
+	reinjected int
 }
 
-// meanAttempts converts the kernel's retransmission count into the
-// per-message attempt statistic (1 under PolicyNone, where retryN is 0).
+// meanAttempts is the per-message attempt statistic of a faulted run: the
+// mean number of end-to-end path attempts under reroute, 1 plus the mean
+// retransmission count otherwise (exactly 1 under PolicyNone).
 func (fa *faultAnalysis) meanAttempts(injected int) float64 {
-	if injected == 0 {
+	switch {
+	case injected == 0:
 		return 1
+	case fa.reinjected > 0:
+		return float64(injected+fa.reinjected) / float64(injected)
 	}
 	return 1 + float64(fa.retryN)/float64(injected)
 }
 
-// newTimelineFaultAnalysis snapshots a settled network's fault evidence
-// and builds the per-phase uncompromised-receiver analysts.
-func newTimelineFaultAnalysis(cfg Config, nw *simnet.Network) (*faultAnalysis, error) {
+// newFaultAnalysis snapshots a settled network's fault evidence and builds
+// the per-phase uncompromised-receiver analysts.
+func newFaultAnalysis(cfg Config, nw *simnet.Network, reinjected int) (*faultAnalysis, error) {
 	fa := &faultAnalysis{
-		delivered: make(map[trace.MessageID]bool),
-		retries:   sortedRetryObservations(nw),
-		analystsU: make([]*adversary.Analyst, len(cfg.phases)),
-		retryN:    nw.Metrics().Retries,
+		delivered:  make(map[trace.MessageID]bool),
+		retries:    sortedRetryObservations(nw),
+		analystsU:  make([]*adversary.Analyst, len(cfg.phases)),
+		retryN:     nw.Metrics().Retries,
+		reinjected: reinjected,
 	}
 	for _, d := range nw.Deliveries() {
 		fa.delivered[d.Msg] = true
@@ -444,22 +256,4 @@ func newTimelineFaultAnalysis(cfg Config, nw *simnet.Network) (*faultAnalysis, e
 		}
 	}
 	return fa, nil
-}
-
-// meanAttempts derives the per-message attempt statistic of a faulted
-// run: retransmit counts extra link transmissions, reroute counts
-// end-to-end path attempts, PolicyNone always takes exactly one.
-func meanAttempts(cfg Config, nw *simnet.Network, attempts []int, injected int) float64 {
-	switch cfg.Reliability.Policy {
-	case faults.PolicyRetransmit:
-		return 1 + float64(nw.Metrics().Retries)/float64(injected)
-	case faults.PolicyReroute:
-		var total int
-		for _, a := range attempts {
-			total += a
-		}
-		return float64(total) / float64(injected)
-	default:
-		return 1
-	}
 }

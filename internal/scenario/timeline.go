@@ -383,9 +383,35 @@ func phaseSeed(seed int64, i int) int64 {
 	return stats.ForkSeed(seed, int64(i+1))
 }
 
+// identity reports whether the phase's live members are 0..n−1, so its
+// dense and union identities coincide — every static run's one phase, and
+// a timeline's phases before any churn.
+func (p *phase) identity() bool {
+	return len(p.live.spans) == 1 && p.live.spans[0].lo == 0
+}
+
+// holds reports whether every node a trace names, the receiver
+// pseudo-identity aside, is a live member of the phase.
+func (p *phase) holds(mt *trace.MessageTrace) bool {
+	in := func(g trace.NodeID) bool { return g == trace.Receiver || p.live.has(g) }
+	if mt.ReceiverSeen && !in(mt.ReceiverPred) {
+		return false
+	}
+	for _, r := range mt.Reports {
+		if !in(r.Observer) || !in(r.Pred) || !in(r.Succ) {
+			return false
+		}
+	}
+	return true
+}
+
 // denseTrace rewrites a union-identity message trace into the phase's
-// dense node space (the receiver pseudo-identity passes through).
+// dense node space (the receiver pseudo-identity passes through). An
+// identity phase returns the trace itself, sparing the copy.
 func (p *phase) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error) {
+	if p.identity() && p.holds(mt) {
+		return mt, nil
+	}
 	out := &trace.MessageTrace{
 		Msg:          mt.Msg,
 		ReceiverSeen: mt.ReceiverSeen,
@@ -562,13 +588,14 @@ func ParseTimeline(s string) ([]Epoch, error) {
 // drawPhasePath draws one rerouting path for a session round: the sampler
 // works in the phase's dense space, and the result is mapped back to union
 // identities when the caller needs concrete network routes. The mapped
-// copy is freshly allocated — it crosses the kernel boundary and outlives
-// the sampler's reusable buffer.
+// copy is freshly allocated; an identity phase returns the sampler's
+// reusable buffer instead, valid until the next draw (the kernel copies a
+// route on send, and onion.Build consumes it synchronously).
 func drawPhasePath(p *phase, sp *pathsel.Sampler, rng *stats.Stream, sender trace.NodeID) ([]trace.NodeID, error) {
 	ds, _ := p.live.rankOf(sender)
 	dense, err := sp.SelectPath(rng, trace.NodeID(ds))
-	if err != nil {
-		return nil, err
+	if err != nil || p.identity() {
+		return dense, err
 	}
 	global := make([]trace.NodeID, len(dense))
 	for i, d := range dense {
@@ -577,11 +604,11 @@ func drawPhasePath(p *phase, sp *pathsel.Sampler, rng *stats.Stream, sender trac
 	return global, nil
 }
 
-// phasedMachinery builds the per-phase inference stack of a degradation
-// timeline — shared engine-cache engines, analysts over the dense
-// compromised sets, and dense-space selectors — enforcing the accumulation
-// capabilities every backend needs (standard inference, sender
-// self-report).
+// phasedMachinery builds the per-phase inference stack of a sampled phased
+// run (a degradation timeline on any backend, every routed testbed run) —
+// shared engine-cache engines, analysts over the dense compromised sets,
+// and dense-space selectors — enforcing the per-message analysis
+// capabilities (standard inference, sender self-report).
 func phasedMachinery(cfg Config, backend string) ([]*adversary.Analyst, []*pathsel.Selector, error) {
 	analysts := make([]*adversary.Analyst, len(cfg.phases))
 	sels := make([]*pathsel.Selector, len(cfg.phases))
@@ -593,7 +620,7 @@ func phasedMachinery(cfg Config, backend string) ([]*adversary.Analyst, []*paths
 		}
 		if e.Mode() != events.InferenceStandard {
 			return nil, nil, capability.Unsupported(backend,
-				capability.ErrInference, "dynamic-population execution requires the standard inference mode")
+				capability.ErrInference, "per-message analysis requires the standard inference mode, engine uses "+e.Mode().String())
 		}
 		if !e.SenderSelfReport() {
 			// The per-message analysis hardcodes the local-eavesdropper
